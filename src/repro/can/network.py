@@ -27,6 +27,7 @@ class CanOverlay:
             raise ChordError("CAN needs at least one dimension")
         self.dimensions = dimensions
         self._nodes: dict[int, CanNode] = {}
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -39,6 +40,12 @@ class CanOverlay:
     def node_ids(self) -> list[int]:
         """All node ids, ascending."""
         return sorted(self._nodes)
+
+    @property
+    def membership_version(self) -> int:
+        """Bumped by every join and leave (see
+        :attr:`ChordRing.membership_version`)."""
+        return self._version
 
     def node(self, node_id: int) -> CanNode:
         """The node with the given id."""
@@ -57,6 +64,7 @@ class CanOverlay:
             zones=[Zone.whole_space(self.dimensions)],
         )
         self._nodes[node.node_id] = node
+        self._version += 1
         return node
 
     def join(self, address: str, at_point: Point | None = None) -> CanNode:
@@ -85,6 +93,7 @@ class CanOverlay:
         owner.zones[zone_index] = give
         joiner = CanNode(node_id=node_id, address=address, zones=[keep])
         self._nodes[node_id] = joiner
+        self._version += 1
         self._update_neighbors_after_change({owner.node_id, node_id})
         return joiner
 
@@ -112,6 +121,7 @@ class CanOverlay:
         departing = self.node(node_id)
         affected = set(departing.neighbor_ids)
         del self._nodes[node_id]
+        self._version += 1
         takers: set[int] = set()
         for zone in departing.zones:
             taker = self._takeover_target(zone, affected)

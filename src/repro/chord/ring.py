@@ -28,6 +28,13 @@ from repro.errors import ChordError, DuplicateNodeError, EmptyRingError, NodeNot
 __all__ = ["ChordRing", "DepartureHandoff"]
 
 
+def _edge_label(index: int) -> str:
+    """Trace label of a routing edge: ``finger[i]``, or ``successor`` for
+    the index ``-1`` that :meth:`ChordRing._closest_preceding_edge` uses
+    for the successor fallback."""
+    return f"finger[{index}]" if index >= 0 else "successor"
+
+
 @dataclass(frozen=True)
 class DepartureHandoff:
     """What a graceful :meth:`ChordRing.leave` hands to the rest of the ring.
@@ -65,6 +72,7 @@ class ChordRing:
         self.successor_list_size = successor_list_size
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_ids: list[int] = []
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -80,6 +88,17 @@ class ChordRing:
     def node_ids(self) -> list[int]:
         """All node ids in increasing order (copy)."""
         return list(self._sorted_ids)
+
+    def node_id_at(self, index: int) -> int:
+        """The ``index``-th smallest node id, without copying the id list
+        (``len(ring)`` bounds the index)."""
+        return self._sorted_ids[index]
+
+    @property
+    def membership_version(self) -> int:
+        """Bumped by every :meth:`add_node` / :meth:`remove_node`, so a
+        cache derived from :attr:`node_ids` knows when to rebuild."""
+        return self._version
 
     def node(self, node_id: int) -> ChordNode:
         """The node with the given id."""
@@ -109,6 +128,7 @@ class ChordRing:
         node = ChordNode(node_id=node_id, address=address)
         self._nodes[node_id] = node
         insort(self._sorted_ids, node_id)
+        self._version += 1
         return node
 
     def add_nodes(self, count: int, address_prefix: str = "peer") -> list[ChordNode]:
@@ -130,6 +150,7 @@ class ChordRing:
         del self._nodes[node_id]
         index = bisect_left(self._sorted_ids, node_id)
         self._sorted_ids.pop(index)
+        self._version += 1
         return node
 
     # ------------------------------------------------------------------
@@ -228,22 +249,27 @@ class ChordRing:
     # Routing
     # ------------------------------------------------------------------
 
-    def _closest_preceding_edge(self, node: ChordNode, key: int) -> tuple[int, str]:
+    def _closest_preceding_edge(self, node: ChordNode, key: int) -> tuple[int, int]:
         """Highest finger strictly inside ``(node, key)``, per the protocol.
 
-        Returns ``(next_id, via)`` where ``via`` names the routing-table
-        edge used — ``finger[i]`` or ``successor`` — so traced lookups can
-        show *why* each hop happened, not just where it went.
+        Returns ``(next_id, index)``: the finger index used, or ``-1`` when
+        no finger qualifies and the hop falls back to the successor (see
+        :func:`_edge_label`).  Plain integer arithmetic: a finger ``f`` is
+        inside the open interval when ``0 < (f - n) % size < span``, where
+        ``span`` is the clockwise distance from ``n`` to ``key`` (the full
+        circle when ``key == n``, as in :meth:`IdSpace.in_open`).
         """
-        for index in range(len(node.fingers) - 1, -1, -1):
-            finger_id = node.fingers[index]
-            if finger_id is not None and self.space.in_open(
-                finger_id, node.node_id, key
-            ):
-                return (finger_id, f"finger[{index}]")
+        size = self.space.size
+        n = node.node_id
+        span = (key - n) % size or size
+        fingers = node.fingers
+        for index in range(len(fingers) - 1, -1, -1):
+            finger_id = fingers[index]
+            if finger_id is not None and 0 < (finger_id - n) % size < span:
+                return (finger_id, index)
         if node.successor_id is None:
-            raise ChordError(f"node {node.node_id} has no routing state")
-        return (node.successor_id, "successor")
+            raise ChordError(f"node {n} has no routing state")
+        return (node.successor_id, -1)
 
     def _closest_preceding_finger(self, node: ChordNode, key: int) -> int:
         """Highest finger strictly inside ``(node, key)``, per the protocol."""
@@ -263,10 +289,15 @@ class ChordRing:
         as ``recorder(from_id, to_id, via)``, where ``via`` is the routing
         edge used (``finger[i]`` or ``successor``) — the hook the tracing
         layer uses to show a lookup hop by hop.
+
+        The interval tests are the plain-integer forms of
+        :meth:`IdSpace.in_half_open` / :meth:`IdSpace.in_open` on clockwise
+        distances; ``IdSpace`` stays the tested reference.
         """
         if not self._sorted_ids:
             raise EmptyRingError("cannot look up in an empty ring")
-        key = self.space.wrap(key)
+        size = self.space.size
+        key %= size
         if start_id is None:
             start_id = self._sorted_ids[0]
         current = self.node(start_id)
@@ -274,16 +305,19 @@ class ChordRing:
             raise ChordError("ring not built; call build() or join() first")
         path = [current.node_id]
         max_hops = 4 * self.space.m + len(self._nodes)
-        while not self.space.in_half_open(
-            key, current.node_id, current.successor_id
-        ):
-            next_id, via = self._closest_preceding_edge(current, key)
-            if next_id == current.node_id:
+        while True:
+            n = current.node_id
+            successor = current.successor_id
+            # key in (n, successor]: the whole circle when successor == n.
+            if successor == n or 0 < (key - n) % size <= (successor - n) % size:
+                break
+            next_id, index = self._closest_preceding_edge(current, key)
+            if next_id == n:
                 break
             if recorder is not None:
-                recorder(current.node_id, next_id, via)
+                recorder(n, next_id, _edge_label(index))
             current = self.node(next_id)
-            path.append(current.node_id)
+            path.append(next_id)
             if len(path) > max_hops:
                 raise ChordError(f"lookup for {key} exceeded {max_hops} hops")
         owner_id = current.successor_id

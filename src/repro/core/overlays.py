@@ -27,6 +27,21 @@ class OverlayRouter(ABC):
     def node_ids(self) -> list[int]:
         """All peer ids, ascending."""
 
+    @property
+    @abstractmethod
+    def membership_version(self) -> int:
+        """Changes whenever a peer joins or leaves the overlay."""
+
+    @property
+    def node_count(self) -> int:
+        """Number of peers (overlays override this to avoid the copy)."""
+        return len(self.node_ids)
+
+    def node_id_at(self, index: int) -> int:
+        """The ``index``-th peer id in ascending order (overlays override
+        this to avoid the copy)."""
+        return self.node_ids[index]
+
     @abstractmethod
     def owner_of(self, key: int) -> int:
         """Peer id responsible for a bucket identifier."""
@@ -88,6 +103,17 @@ class ChordRouter(OverlayRouter):
     def node_ids(self) -> list[int]:
         return self.ring.node_ids
 
+    @property
+    def membership_version(self) -> int:
+        return self.ring.membership_version
+
+    @property
+    def node_count(self) -> int:
+        return len(self.ring)
+
+    def node_id_at(self, index: int) -> int:
+        return self.ring.node_id_at(index)
+
     def owner_of(self, key: int) -> int:
         return self.ring.successor_of(key)
 
@@ -127,6 +153,10 @@ class CanRouter(OverlayRouter):
     @property
     def node_ids(self) -> list[int]:
         return self.overlay.node_ids
+
+    @property
+    def membership_version(self) -> int:
+        return self.overlay.membership_version
 
     def owner_of(self, key: int) -> int:
         return self.overlay.owner_of(key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.chord.hashing import rehash_for_placement
 from repro.core.config import SystemConfig
@@ -41,7 +41,13 @@ from repro.rpc.transports import SyncTransport
 from repro.storage.store import LRUEviction, NoEviction, PeerStore
 from repro.util.rng import derive_rng
 
-__all__ = ["RangeSelectionSystem", "RangeQueryResult", "LocateResult", "MatchReply"]
+__all__ = [
+    "RangeSelectionSystem",
+    "RangeQueryResult",
+    "LocateResult",
+    "MatchReply",
+    "ReplicationPlan",
+]
 
 logger = get_logger("core.system")
 
@@ -49,6 +55,18 @@ logger = get_logger("core.system")
 #: hash bare integer ranges without a real schema behind them.
 SIM_RELATION = "R"
 SIM_ATTRIBUTE = "value"
+
+
+class ReplicationPlan(NamedTuple):
+    """One repair round's work (see
+    :meth:`RangeSelectionSystem.replication_plan`)."""
+
+    #: ``(identifier, descriptor, source_id, partition, target_id, primary)``
+    #: per copy to make, in scan order.
+    copies: list[tuple[int, PartitionDescriptor, int, Partition | None, int, bool]]
+    #: ``(identifier, descriptor)`` entries some peer holds but no alive
+    #: peer does: unrepairable, since no alive holder can source a copy.
+    lost: set[tuple[int, PartitionDescriptor]]
 
 
 @dataclass(frozen=True)
@@ -314,8 +332,8 @@ class RangeSelectionSystem:
 
     def pick_origin(self) -> int:
         """A uniformly random querying peer."""
-        ids = self.router.node_ids
-        return ids[int(self._rng.integers(len(ids)))]
+        router = self.router
+        return router.node_id_at(int(self._rng.integers(router.node_count)))
 
     def start_trace(self, query: IntRange | None = None, **attrs) -> QueryTrace:
         """A :class:`~repro.obs.QueryTrace` for the synchronous path.
@@ -612,30 +630,42 @@ class RangeSelectionSystem:
                 fixed += 1
         return fixed
 
-    def replication_deficits(
+    def replication_plan(
         self, is_alive: Callable[[int], bool]
-    ):
-        """The copy operations needed to restore the replication factor.
+    ) -> ReplicationPlan:
+        """The copy operations needed to restore the replication factor,
+        and the identifiers lost outright, from one scan of the stores.
 
-        Yields ``(identifier, descriptor, source_id, partition, target_id,
-        primary)`` tuples: ``identifier`` should live on ``target_id`` (an
-        alive peer in its successor chain) but currently does not, and an
-        alive ``source_id`` still holds it.  Entries whose every copy sits
-        on crashed peers are unrepairable and are not yielded.  Both the
-        synchronous :meth:`repair_replicas` and the event-driven
+        Each copy is ``(identifier, descriptor, source_id, partition,
+        target_id, primary)``: ``identifier`` should live on ``target_id``
+        (an alive peer in its successor chain) but currently does not, and
+        an alive ``source_id`` still holds it.  An entry whose every copy
+        sits on crashed peers is unrepairable: it yields no copy and is
+        listed in ``lost`` instead.  The scan skips empty stores and asks
+        ``is_alive`` once per store.  Both the synchronous
+        :meth:`repair_replicas` and the event-driven
         :class:`~repro.sim.repair.ReplicaRepairer` execute this plan —
         only the transport differs.
         """
         placements: dict[
             tuple[int, PartitionDescriptor], dict[int, "object"]
         ] = {}
+        dead_held: set[tuple[int, PartitionDescriptor]] = set()
         for store in self.stores.values():
-            if not is_alive(store.peer_id):
+            if not store.bucket_count:
+                continue
+            peer_id = store.peer_id
+            if not is_alive(peer_id):
+                dead_held.update(
+                    (identifier, entry.descriptor)
+                    for identifier, entry in store.entries()
+                )
                 continue
             for identifier, entry in store.entries():
                 placements.setdefault((identifier, entry.descriptor), {})[
-                    store.peer_id
+                    peer_id
                 ] = entry
+        copies = []
         for (identifier, descriptor), holders in placements.items():
             targets = self.replica_targets(identifier, is_alive)
             missing = [t for t in targets if t not in holders]
@@ -647,14 +677,15 @@ class RangeSelectionSystem:
                 source_entry.partition,
             )
             for target in missing:
-                yield (
+                copies.append((
                     identifier,
                     descriptor,
                     source_id,
                     partition,
                     target,
                     target == targets[0],
-                )
+                ))
+        return ReplicationPlan(copies, dead_held.difference(placements))
 
     def repair_replicas(
         self, is_alive: Callable[[int], bool] | None = None
@@ -668,8 +699,8 @@ class RangeSelectionSystem:
         """
         alive = is_alive if is_alive is not None else self.network.is_alive
         copies = 0
-        for identifier, descriptor, source, partition, target, primary in list(
-            self.replication_deficits(alive)
+        for identifier, descriptor, source, partition, target, primary in (
+            self.replication_plan(alive).copies
         ):
             try:
                 self.network.send(

@@ -227,7 +227,7 @@ class TelemetrySampler:
         deficit_by_target: dict[int, int] = {}
         total_deficit = 0
         for _identifier, _desc, _src, _part, target, _primary in (
-            system.replication_deficits(alive)
+            system.replication_plan(alive).copies
         ):
             total_deficit += 1
             deficit_by_target[target] = deficit_by_target.get(target, 0) + 1
@@ -386,7 +386,7 @@ class RingAuditor:
       is crashed, since failover placements legitimately skew flags
       (warning).
     * Replica deficits — identifiers missing copies on their alive
-      targets, the same plan :meth:`replication_deficits` feeds the
+      targets, the same plan :meth:`replication_plan` feeds the
       repair loop (warning); identifiers whose every copy sits on
       crashed peers are unrepairable (critical).
     * Bucket LRU clocks — each entry's ``access_clock`` must be positive
@@ -523,10 +523,9 @@ class RingAuditor:
         self, report: AuditReport, alive: Callable[[int], bool]
     ) -> None:
         system = self.system
+        plan = system.replication_plan(alive)
         missing: dict[int, int] = {}
-        for identifier, _desc, _src, _part, _target, _primary in (
-            system.replication_deficits(alive)
-        ):
+        for identifier, _desc, _src, _part, _target, _primary in plan.copies:
             missing[identifier] = missing.get(identifier, 0) + 1
         for identifier, count in sorted(missing.items()):
             report.findings.append(
@@ -539,16 +538,8 @@ class RingAuditor:
                 )
             )
         # Entries held only on crashed peers: no alive source remains.
-        alive_held: set[tuple[int, object]] = set()
-        all_held: set[tuple[int, object]] = set()
-        for store in system.stores.values():
-            for identifier, entry in store.entries():
-                key = (identifier, entry.descriptor)
-                all_held.add(key)
-                if alive(store.peer_id):
-                    alive_held.add(key)
         for identifier, descriptor in sorted(
-            all_held - alive_held, key=lambda k: (k[0], str(k[1]))
+            plan.lost, key=lambda k: (k[0], str(k[1]))
         ):
             report.findings.append(
                 AuditFinding(

@@ -37,6 +37,10 @@ class FaultInjector:
         self.drop_probability = drop_probability
         self._rng: np.random.Generator = derive_rng(seed, "sim/faults")
         self._crashed: set[int] = set()
+        #: Bumped whenever the crashed set changes, whether by a direct
+        #: call or a scheduled one, so callers caching who is alive (the
+        #: engine's origin list) know when to rebuild.
+        self.crash_version = 0
         #: peer_id -> (latency multiplier, service-time multiplier)
         self._slowed: dict[int, tuple[float, float]] = {}
 
@@ -59,11 +63,15 @@ class FaultInjector:
 
     def crash(self, peer_id: int) -> None:
         """Fail-stop a peer: it stops handling and acknowledging messages."""
-        self._crashed.add(peer_id)
+        if peer_id not in self._crashed:
+            self._crashed.add(peer_id)
+            self.crash_version += 1
 
     def recover(self, peer_id: int) -> None:
         """Bring a crashed peer back (idempotent)."""
-        self._crashed.discard(peer_id)
+        if peer_id in self._crashed:
+            self._crashed.discard(peer_id)
+            self.crash_version += 1
 
     def is_crashed(self, peer_id: int) -> bool:
         return peer_id in self._crashed

@@ -154,6 +154,8 @@ class AsyncQueryEngine:
         for node_id in system.router.node_ids:
             self.net.register(node_id, system.peer_handler(node_id))
         self._rng = derive_rng(seed, "sim/origins")
+        self._alive: list[int] = []
+        self._alive_stamp: tuple | None = None
         self.transport = SimTransport(
             self.sim, self.net,
             policy=self.policy, failover_policy=self.failover_policy,
@@ -192,10 +194,21 @@ class AsyncQueryEngine:
 
     def pick_origin(self) -> int:
         """A uniformly random *alive* querying peer."""
-        alive = [nid for nid in self.system.router.node_ids if self.net.is_alive(nid)]
+        alive = self._alive_origins()
         if not alive:
             raise RuntimeError("no alive peer can originate a query")
         return alive[int(self._rng.integers(len(alive)))]
+
+    def _alive_origins(self) -> list[int]:
+        """The alive peers in ring order, rebuilt only after a membership
+        or liveness change (register/unregister, crash/recover, ring
+        add/remove) instead of once per query."""
+        stamp = (self.net.liveness_version, self.system.router.membership_version)
+        if stamp != self._alive_stamp:
+            is_alive = self.net.is_alive
+            self._alive = [nid for nid in self.system.router.node_ids if is_alive(nid)]
+            self._alive_stamp = stamp
+        return self._alive
 
     # -- the query procedure -------------------------------------------
 

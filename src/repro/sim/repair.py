@@ -6,7 +6,7 @@ each failover answer papers over the loss without fixing it.  The
 :class:`ReplicaRepairer` is the self-healing half of the robustness story —
 a periodic simulation task that diffs the system's *actual* placement
 against the first ``r`` alive successors of every identifier
-(:meth:`RangeSelectionSystem.replication_deficits`) and re-replicates the
+(:meth:`RangeSelectionSystem.replication_plan`) and re-replicates the
 missing copies peer-to-peer, under the same timeout/retry discipline as any
 other request.
 
@@ -149,8 +149,9 @@ class ReplicaRepairer:
         system = engine.system
         net = engine.net
         self.stats.rounds += 1
-        deficits = list(system.replication_deficits(net.is_alive))
-        self.stats.unrepairable += self._count_unrepairable(net.is_alive)
+        plan = system.replication_plan(net.is_alive)
+        deficits = plan.copies
+        self.stats.unrepairable += len(plan.lost)
         out: SimFuture[int] = SimFuture()
         if not deficits:
             # Resolve on the clock, not inline, so callers can always
@@ -184,15 +185,3 @@ class ReplicaRepairer:
 
         gather(copies).add_done_callback(on_done)
         return out
-
-    def _count_unrepairable(self, is_alive) -> int:
-        """Identifiers some replica should hold but no alive peer does."""
-        alive_held: set[tuple[int, object]] = set()
-        all_held: set[tuple[int, object]] = set()
-        for store in self.engine.system.stores.values():
-            for identifier, entry in store.entries():
-                key = (identifier, entry.descriptor)
-                all_held.add(key)
-                if is_alive(store.peer_id):
-                    alive_held.add(key)
-        return len(all_held - alive_held)

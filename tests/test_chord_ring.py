@@ -226,5 +226,117 @@ class TestChurn:
         assert rounds >= 1
 
 
+def reference_lookup(ring: ChordRing, key: int, start_id: int):
+    """``ChordRing.lookup`` written with :class:`IdSpace` interval tests:
+    the reference the plain-integer routing must agree with.  Returns
+    ``(path, hops, edges)`` where ``edges`` are the recorder triples."""
+    space = ring.space
+    key = space.wrap(key)
+    current = ring.node(start_id)
+    path = [current.node_id]
+    edges = []
+    max_hops = 4 * space.m + len(ring)
+    while not space.in_half_open(key, current.node_id, current.successor_id):
+        for index in range(len(current.fingers) - 1, -1, -1):
+            finger_id = current.fingers[index]
+            if finger_id is not None and space.in_open(
+                finger_id, current.node_id, key
+            ):
+                next_id, via = finger_id, f"finger[{index}]"
+                break
+        else:
+            next_id, via = current.successor_id, "successor"
+        if next_id == current.node_id:
+            break
+        edges.append((current.node_id, next_id, via))
+        current = ring.node(next_id)
+        path.append(current.node_id)
+        if len(path) > max_hops:
+            raise ChordError("hop bound")
+    owner_id = current.successor_id
+    if owner_id != current.node_id:
+        edges.append((current.node_id, owner_id, "successor"))
+        path.append(owner_id)
+    return tuple(path), len(path) - 1, edges
+
+
+@st.composite
+def routed_rings(draw):
+    """A small-``m`` ring, either statically built or joined and only
+    partly stabilized (stale fingers, successor fallbacks), plus a key
+    and a start node."""
+    m = draw(st.integers(2, 8))
+    size = 1 << m
+    if draw(st.booleans()):
+        ids = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 12)))
+        ring = ChordRing(m=m, successor_list_size=2)
+        for node_id in ids:
+            ring.add_node(node_id=node_id)
+        ring.build()
+    else:
+        ring = ChordRing(m=m, successor_list_size=2)
+        boot = ring.bootstrap("boot")
+        for i in range(draw(st.integers(0, 8))):
+            try:
+                ring.join(f"j-{i}", via=boot.node_id)
+            except DuplicateNodeError:
+                continue
+        for _ in range(draw(st.integers(0, 3))):
+            ring.stabilize_round()
+    ids = ring.node_ids
+    start_id = draw(st.sampled_from(ids))
+    key = draw(
+        st.one_of(
+            st.integers(-size, 2 * size),  # wraps past 0 and past the top
+            st.sampled_from(ids),  # key == some node id
+            st.just(start_id),
+            st.just(ring.successor_of(start_id)),
+        )
+    )
+    if draw(st.booleans()):
+        # Start at the key's owner: a zero-hop route.
+        start_id = ring.successor_of(key)
+    return ring, key, start_id
+
+
+class TestPlainIntRouting:
+    @given(routed_rings())
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_matches_idspace_reference(self, case):
+        ring, key, start_id = case
+        try:
+            expected = reference_lookup(ring, key, start_id)
+        except ChordError:
+            with pytest.raises(ChordError):
+                ring.lookup(key, start_id=start_id)
+            return
+        edges = []
+        result = ring.lookup(
+            key, start_id=start_id, recorder=lambda *edge: edges.append(edge)
+        )
+        assert (result.path, result.hops, edges) == expected
+        assert ring.lookup(key, start_id=start_id) == result
+
+    def test_single_node_owns_every_key(self):
+        ring = ChordRing(m=4)
+        ring.add_node(node_id=9)
+        ring.build()
+        for key in (-1, 0, 9, 15, 16, 40):
+            edges = []
+            result = ring.lookup(key, start_id=9, recorder=lambda *e: edges.append(e))
+            assert result.path == (9,) and result.hops == 0 and edges == []
+            assert reference_lookup(ring, key, 9) == (result.path, 0, [])
+
+    def test_self_successor_owns_every_key_despite_stale_fingers(self):
+        # (n, n] is the whole circle: no finger is consulted.
+        ring = built_ring(2, m=6)
+        a, b = ring.node_ids
+        ring.node(a).successor_id = a
+        for key in range(-2, 70, 7):
+            result = ring.lookup(key, start_id=a)
+            assert result.path == (a,)
+            assert reference_lookup(ring, key, a) == (result.path, 0, [])
+
+
 # A moderately sized ring shared by property-based lookup tests.
 _PROPERTY_RING = built_ring(60)

@@ -9,6 +9,7 @@ from repro.core.system import RangeSelectionSystem
 from repro.net.latency import ConstantLatency, SeededLatency
 from repro.ranges.interval import IntRange
 from repro.sim import AsyncQueryEngine, RetryPolicy
+from repro.util.rng import derive_rng
 
 
 def make_engine(n_peers: int = 60, seed: int = 7, **kwargs) -> AsyncQueryEngine:
@@ -118,6 +119,63 @@ class TestAcceptance:
         for _ in range(20):
             assert engine.pick_origin() != victim
         engine.recover_peer(victim)
+
+
+class TestAliveOriginCache:
+    """``pick_origin`` caches the alive list; every membership or liveness
+    change must rebuild it, so the engine keeps drawing exactly the origins
+    of a fresh list comprehension over the ring."""
+
+    SEED = 13
+
+    def test_picks_match_reference_across_churn(self):
+        engine = make_engine(n_peers=40, seed=self.SEED)
+        system, net = engine.system, engine.net
+        reference_rng = derive_rng(self.SEED, "sim/origins")
+
+        def reference_pick() -> int:
+            alive = [nid for nid in system.router.node_ids if net.is_alive(nid)]
+            return alive[int(reference_rng.integers(len(alive)))]
+
+        def check(picks: int = 50, excluded: tuple[int, ...] = ()) -> set[int]:
+            seen = set()
+            for _ in range(picks):
+                origin = engine.pick_origin()
+                assert origin == reference_pick()
+                assert net.is_alive(origin)
+                assert origin not in excluded
+                seen.add(origin)
+            return seen
+
+        ids = system.router.node_ids
+        check()
+        engine.crash_peer(ids[5])
+        check(excluded=(ids[5],))
+        engine.recover_peer(ids[5])
+        check()
+
+        # A crash scheduled on the sim clock bypasses AsyncNetwork and
+        # fires while an open loop is in flight.
+        net.faults.schedule_crash(engine.sim, ids[9], at_ms=engine.sim.now + 7.0)
+        queries = [IntRange(100 + 10 * i, 180 + 10 * i) for i in range(10)]
+        for _ in queries:  # the loop pre-draws one origin per query
+            reference_pick()
+        engine.run_open_loop(queries, interval_ms=2.0)
+        assert net.faults.is_crashed(ids[9])
+        check(excluded=(ids[9],))
+
+        # A join changes the ring first; the peer counts once registered.
+        node = system.join_peer("late-joiner")
+        check(excluded=(node.node_id,))
+        net.register(node.node_id, system.peer_handler(node.node_id))
+        assert node.node_id in check(picks=200)
+
+        # A leave changes the ring while the engine's network still has
+        # the peer registered; unregistering changes only the network.
+        system.leave_peer(ids[20])
+        check(excluded=(ids[20],))
+        net.unregister(ids[30])
+        check(excluded=(ids[20], ids[30]))
 
 
 class TestDeterministicTiming:

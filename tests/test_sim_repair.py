@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
@@ -10,6 +14,7 @@ from repro.net.latency import ConstantLatency
 from repro.ranges.interval import IntRange
 from repro.sim import AsyncQueryEngine, ReplicaRepairer, RetryPolicy
 from repro.sim.repair import RepairStats
+from repro.workloads.generators import ZipfRangeWorkload
 
 
 def make_engine(
@@ -169,3 +174,59 @@ class TestReplicaRepairer:
         for query in queries:
             result = engine.run(IntRange(query.start + 1, query.end + 1))
             assert result.found
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestGoldenChurnRun:
+    """A fixed-seed 1,000-peer churn run with repair, pinned: any drift in
+    origins, routes, repair plans or counters changes one of these values."""
+
+    def test_churn_run_matches_pinned_values(self):
+        config = SystemConfig(n_peers=1000, replicas=3, seed=5)
+        system = RangeSelectionSystem(config)
+        engine = AsyncQueryEngine(system)
+        repairer = ReplicaRepairer(engine, interval_ms=100.0)
+        ranges = ZipfRangeWorkload(config.domain, 300, seed=5).ranges()
+        ids = system.router.node_ids
+        rng = np.random.default_rng(5)
+        # Runs of four ring-adjacent peers, so some identifiers lose every
+        # replica and the round counts them unrepairable.
+        starts = sorted(int(i) for i in rng.choice(len(ids), 12, replace=False))
+        victims = [ids[(s + j) % len(ids)] for s in starts for j in range(4)]
+        repairer.start()
+        results = engine.run_open_loop(ranges[:100], 2.0)
+        for peer in victims:
+            engine.crash_peer(peer)
+        results += engine.run_open_loop(ranges[100:200], 2.0)
+        for peer in victims[::2]:
+            engine.recover_peer(peer)
+        results += engine.run_open_loop(ranges[200:], 2.0)
+        repairer.stop()
+        # The synchronous pass runs the same plan after one more wave.
+        for peer in ids[::20]:
+            engine.crash_peer(peer)
+        sync_copies = system.repair_replicas(engine.net.is_alive)
+
+        per_query = [
+            (
+                None if r.matched is None
+                else (r.matched.range.start, r.matched.range.end),
+                bool(r.exact),
+                bool(r.stored),
+                r.overlay_hops,
+                r.total_ms,
+            )
+            for r in results
+        ]
+        assert sum(r.found for r in results) == 174
+        assert repairer.stats.rounds == 125
+        assert repairer.stats.unrepairable == 448
+        assert repairer.stats.copies_created == 248
+        assert repairer.stats.copy_failures == 0
+        assert sync_copies == 87
+        assert _digest(per_query) == "41af2ae214154955"
+        assert _digest(system.metrics.snapshot()) == "d1ae8791d4e53dbc"

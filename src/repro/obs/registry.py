@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "Counter",
@@ -318,28 +318,27 @@ class MetricsRegistry:
 
     # -- construction --------------------------------------------------
 
-    def _get_or_create(self, name: str, factory: Callable[[], _Metric]) -> _Metric:
+    def _get_or_create(
+        self, name: str, cls: type[_Metric], help: str, **options: Any
+    ) -> _Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-            return metric
-        wanted = factory()
-        if metric.kind != wanted.kind:
+            metric = self._metrics[name] = cls(name, help, **options)
+        elif metric.kind != cls.kind:
             raise ValueError(
-                f"metric {name!r} is a {metric.kind}, not a {wanted.kind}"
+                f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
             )
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the counter named ``name``."""
-        metric = self._get_or_create(name, lambda: Counter(name, help))
+        metric = self._get_or_create(name, Counter, help)
         assert isinstance(metric, Counter)
         return metric
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create the gauge named ``name``."""
-        metric = self._get_or_create(name, lambda: Gauge(name, help))
+        metric = self._get_or_create(name, Gauge, help)
         assert isinstance(metric, Gauge)
         return metric
 
@@ -347,9 +346,7 @@ class MetricsRegistry:
         self, name: str, help: str = "", edges: Sequence[float] | None = None
     ) -> HistogramMetric:
         """Get or create the histogram named ``name``."""
-        metric = self._get_or_create(
-            name, lambda: HistogramMetric(name, help, edges=edges)
-        )
+        metric = self._get_or_create(name, HistogramMetric, help, edges=edges)
         assert isinstance(metric, HistogramMetric)
         return metric
 
@@ -358,7 +355,7 @@ class MetricsRegistry:
     ) -> TimeSeriesMetric:
         """Get or create the ring-buffer time series named ``name``."""
         metric = self._get_or_create(
-            name, lambda: TimeSeriesMetric(name, help, capacity=capacity)
+            name, TimeSeriesMetric, help, capacity=capacity
         )
         assert isinstance(metric, TimeSeriesMetric)
         return metric

@@ -4,10 +4,11 @@ Three pieces turn the transport-agnostic
 :class:`~repro.rpc.engine.QueryEngine` into a real network client:
 
 - :class:`SocketTransport` — the third :class:`~repro.rpc.transports.Transport`.
-  ``request()`` opens an asyncio TCP connection to the recipient and
-  settles a :class:`~repro.sim.futures.SimFuture` when the reply frame
-  lands, so the ``l`` lookup chains of one query run concurrently over
-  real connections.  Routing hops stay *virtual*: the client mirrors the
+  ``request()`` sends over a pooled asyncio TCP connection to the
+  recipient (kept open across requests) and settles a
+  :class:`~repro.sim.futures.SimFuture` when the reply frame lands, so the
+  ``l`` lookup chains of one query run concurrently over real
+  connections.  Routing hops stay *virtual*: the client mirrors the
   full ring, so the owner of an identifier is a local computation, and
   each traversed finger edge is charged to the traffic stats without a
   network round trip (the classic client-mode DHT shortcut).
@@ -83,7 +84,8 @@ class SocketTransport(Transport):
 
     Must be used from inside a running event loop (the
     :class:`ClusterClient` drives one); ``request()`` spawns one task per
-    exchange and settles the returned future from the loop.
+    exchange and settles the returned future from the loop.  Exchanges
+    reuse the connections of :attr:`pool`; :meth:`close` shuts them.
 
     With ``policies=True`` (the default) the transport runs the adaptive
     mechanisms of :mod:`repro.sim.policies` against real sockets: a
@@ -114,6 +116,8 @@ class SocketTransport(Transport):
         #: Peers that refused a connection; cleared by a successful ping.
         self.dead: set[int] = set()
         self._tasks: set[asyncio.Task] = set()
+        #: Open connections to the peers, shared with control calls.
+        self.pool = wire.ConnectionPool()
         self._epoch = time.monotonic()
         self.adaptive: AdaptiveTimeout | None = None
         self.breaker: CircuitBreaker | None = None
@@ -140,6 +144,14 @@ class SocketTransport(Transport):
     @property
     def stats(self) -> TrafficStats:
         return self._stats
+
+    async def close(self) -> None:
+        """Cancel exchanges still in flight and close the pooled connections."""
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await self.pool.close()
 
     def now(self) -> float:
         return (time.monotonic() - self._epoch) * 1000.0
@@ -238,6 +250,7 @@ class SocketTransport(Transport):
                     sender=sender, peer_id=recipient,
                     timeout_ms=timeout_ms,
                     trace=trace_wire,
+                    pool=self.pool,
                 )
             except PeerUnavailableError as exc:
                 # A refused connection is definitive — no retry budget
@@ -428,7 +441,12 @@ class ClusterClient:
                 logger.warning("client flight dump to %s failed", path)
 
     def close(self) -> None:
-        if self._owns_loop and not self.loop.is_closed():
+        """Close the pooled connections, then the loop if this client owns it."""
+        if self.loop.is_closed():
+            return
+        if hasattr(self, "transport"):
+            self._run(self.transport.close())
+        if self._owns_loop:
             self.loop.close()
 
     def __enter__(self) -> "ClusterClient":
@@ -452,9 +470,10 @@ class ClusterClient:
             address: (str(endpoint[0]), int(endpoint[1]))
             for address, endpoint in hello["members"].items()
         }
-        previously_dead = (
-            self.transport.dead if hasattr(self, "transport") else set()
-        )
+        replaced = getattr(self, "transport", None)
+        previously_dead = replaced.dead if replaced is not None else set()
+        if replaced is not None:
+            self._run(replaced.close())
         self.system = ClientSystem(config, members)
         self.transport = SocketTransport(
             self.system.endpoints,
@@ -601,7 +620,10 @@ class ClusterClient:
         """One control RPC to a member, by address."""
         host, port = self.endpoint_of(address)
         return self._run(
-            wire.call(host, port, kind, payload, timeout_ms=self.timeout_ms)
+            wire.call(
+                host, port, kind, payload,
+                timeout_ms=self.timeout_ms, pool=self.transport.pool,
+            )
         )
 
     def ping(self, address: str) -> bool:
@@ -673,6 +695,7 @@ class ClusterClient:
                         host, port, "entries",
                         {"offset": offset, "limit": 512},
                         peer_id=node_id, timeout_ms=self.timeout_ms,
+                        pool=self.transport.pool,
                     )
                     batch = page.get("entries", []) if isinstance(page, dict) else []
                     entries.extend(batch)
@@ -714,6 +737,7 @@ class ClusterClient:
                         host, port, "store-request",
                         (identifier, descriptor, partition, primary),
                         peer_id=target, timeout_ms=self.timeout_ms,
+                        pool=self.transport.pool,
                     )
                 except ReproError:
                     self.transport.dead.add(target)

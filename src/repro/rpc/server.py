@@ -201,6 +201,11 @@ class PeerServer:
         #: telemetry RPC and SWIM health piggyback both report it.
         self._pending_repair = 0
         self._server: asyncio.AbstractServer | None = None
+        #: Accepted connections still open, each with the task serving it;
+        #: :meth:`close` shuts them so clients' pooled connections see EOF.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Outgoing connections to other members, reused across calls.
+        self._pool = wire.ConnectionPool()
         self._stopped = asyncio.Event()
         self._repair_now = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
@@ -286,6 +291,7 @@ class PeerServer:
             sender_address=self.address,
             peer_id=peer_id,
             timeout_ms=timeout_ms,
+            pool=self._pool,
         )
 
     def _spawn(self, coroutine) -> None:
@@ -354,6 +360,7 @@ class PeerServer:
                 },
                 sender_address=self.address,
                 timeout_ms=CONTROL_TIMEOUT_MS,
+                pool=self._pool,
             )
             self.table.replace(reply)
             # The adopted map may carry this address as a tombstone (or
@@ -389,14 +396,33 @@ class PeerServer:
         await self.close()
 
     async def close(self) -> None:
-        """Stop accepting connections (in-process embedders call this)."""
+        """Stop serving: no new connections, and every accepted one shut.
+
+        Clients keep connections open between requests, so closing the
+        listener alone would leave them answered (and, on Python 3.12+,
+        ``wait_closed()`` waiting for them forever).  Each connection's
+        serving task is cancelled after its writer is closed; a reply
+        already written (the answer to ``leave`` or ``shutdown``) is
+        flushed before the socket closes.
+        """
         self._stopped.set()
-        for task in list(self._tasks):
-            task.cancel()
-        self._tasks.clear()
         if self._server is not None:
             self._server.close()
+        for writer in self._connections:
+            writer.close()
+        current = asyncio.current_task()
+        tasks = [
+            task
+            for task in (*self._tasks, *self._connections.values())
+            if task is not current
+        ]
+        self._tasks.clear()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
+        await self._pool.close()
         if self.durability is not None:
             self.durability.close()
 
@@ -1069,7 +1095,7 @@ class PeerServer:
             reply = await wire.call(
                 host, port, "swim-ping", self._membership_payload(),
                 sender=self.node_id, sender_address=self.address,
-                timeout_ms=timeout_ms,
+                timeout_ms=timeout_ms, pool=self._pool,
             )
         except ReproError:
             return False
@@ -1194,6 +1220,10 @@ class PeerServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._stopped.is_set():
+            writer.close()
+            return
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 request = await wire.read_frame(reader)
@@ -1271,6 +1301,7 @@ class PeerServer:
         except wire.WireError:
             return  # torn or corrupt frame; drop the connection
         finally:
+            self._connections.pop(writer, None)
             writer.close()
 
 

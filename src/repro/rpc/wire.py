@@ -20,12 +20,23 @@ transports pass by reference — :class:`~repro.ranges.interval.IntRange`,
 type tags (``$range``, ``$desc``, ``$part``, ``$tuple``) so a round trip
 reconstructs equal objects and the peer logic cannot tell which transport
 delivered the message.
+
+Connections are reused.  A server answers one connection's requests in
+order, so a :class:`ConnectionPool` hands each idle connection to one
+caller at a time (concurrency comes from extra connections, never from
+pipelining).  A connection returns to the pool only after a complete,
+well-formed reply whose ``id`` matches the request's; a timeout,
+cancellation, torn frame, socket error, EOF or mismatched ``id`` closes
+it.  A request is written at most once — never resent on a fresh
+connection — so a peer that hangs up after reading it costs exactly one
+delivery, as it did when every call dialled anew.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import struct
 from typing import Any
@@ -49,6 +60,7 @@ __all__ = [
     "write_frame",
     "read_frame",
     "call",
+    "ConnectionPool",
     "config_to_wire",
     "config_from_wire",
     "RemoteError",
@@ -216,7 +228,7 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# One-shot client call
+# Client calls
 # ---------------------------------------------------------------------------
 
 #: Error types a peer may report, mapped back to library exceptions so
@@ -225,6 +237,66 @@ _ERROR_TYPES = {
     "ConfigError": ConfigError,
     "StorageError": StorageError,
 }
+
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class ConnectionPool:
+    """Idle connections per ``(host, port)``, each lent to one call at a time.
+
+    The owner (a client transport, a peer server) passes the pool to
+    :func:`call` and closes it when done; connections still lent out at
+    that point are closed when they come back.  Request ids come from the
+    pool's counter, so a reply can be matched to the request it answers.
+    The counter cycles through one decimal digit, so a frame stays
+    exactly as long as a dial-per-call frame (id 0); two requests share
+    an id only when their ids were issued a multiple of ten apart.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, int], list[_Connection]] = {}
+        self._ids = itertools.cycle(range(10))
+        self._closed = False
+
+    def next_id(self) -> int:
+        return next(self._ids)
+
+    async def checkout(self, host: str, port: int) -> _Connection | None:
+        """An idle, still-open connection to ``(host, port)``, or None."""
+        idle = self._idle.get((host, port))
+        if not idle:
+            return None
+        # Let the loop deliver pending events first: a peer that died or
+        # restarted while this loop sat idle has left an EOF or reset
+        # queued on its old connections.
+        await asyncio.sleep(0)
+        while idle:
+            reader, writer = idle.pop()
+            if reader.at_eof() or writer.is_closing():
+                writer.close()
+                continue
+            return reader, writer
+        return None
+
+    def checkin(self, host: str, port: int, connection: _Connection) -> None:
+        """Return a connection after a complete exchange."""
+        if self._closed:
+            connection[1].close()
+        else:
+            self._idle.setdefault((host, port), []).append(connection)
+
+    async def close(self) -> None:
+        """Close every idle connection; later check-ins close theirs."""
+        self._closed = True
+        writers = [writer for idle in self._idle.values() for _, writer in idle]
+        self._idle.clear()
+        for writer in writers:
+            writer.close()
+        for writer in writers:
+            try:
+                await writer.wait_closed()
+            except OSError:  # pragma: no cover - teardown race
+                pass
 
 
 async def call(
@@ -238,8 +310,14 @@ async def call(
     peer_id: int = -1,
     timeout_ms: float | None = None,
     trace: dict | None = None,
+    pool: ConnectionPool | None = None,
 ) -> Any:
-    """One request/reply over a fresh connection.
+    """One request/reply exchange with the peer at ``host:port``.
+
+    With a ``pool`` the exchange runs over an idle pooled connection (a
+    fresh one is dialled when none is idle) that goes back to the pool
+    afterwards; without one it dials a connection and closes it again,
+    which suits one-off calls.
 
     Raises :class:`~repro.errors.PeerUnavailableError` when the peer
     refuses the connection, hangs up mid-exchange, or answers with bytes
@@ -255,44 +333,66 @@ async def call(
     wire form); peers that predate it ignore the extra field, so traced
     and untraced requests are interchangeable on the wire.
     """
-
-    async def exchange() -> Any:
+    request = {
+        "id": pool.next_id() if pool is not None else 0,
+        "kind": kind,
+        "sender": sender,
+        "payload": encode_value(payload),
+    }
+    if sender_address is not None:
+        request["from"] = sender_address
+    if trace is not None:
+        request["trace"] = trace
+    exchange = _exchange(host, port, request, peer_id, pool)
+    if timeout_ms is None:
+        reply = await exchange
+    else:
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            reply = await asyncio.wait_for(exchange, timeout=timeout_ms / 1000.0)
+        except asyncio.TimeoutError as exc:
+            raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc
+    if reply.get("ok"):
+        return decode_value(reply.get("value"))
+    error_type = reply.get("error_type", "")
+    message = reply.get("error", "remote peer reported an error")
+    raise _ERROR_TYPES.get(error_type, RemoteError)(message)
+
+
+async def _exchange(
+    host: str,
+    port: int,
+    request: dict,
+    peer_id: int,
+    pool: ConnectionPool | None,
+) -> dict:
+    """Write ``request`` once and read its reply; the connection is pooled
+    again only when that reply arrived whole and carries the request id."""
+    connection = await pool.checkout(host, port) if pool is not None else None
+    if connection is None:
+        try:
+            # Looked up at call time so wrappers of open_connection (byte
+            # counters) see every dial.
+            connection = await asyncio.open_connection(host, port)
         except OSError as exc:
             raise PeerUnavailableError(peer_id) from exc
+    reader, writer = connection
+    reuse = False
+    try:
         try:
-            request = {
-                "id": 0, "kind": kind, "sender": sender,
-                "payload": encode_value(payload),
-            }
-            if sender_address is not None:
-                request["from"] = sender_address
-            if trace is not None:
-                request["trace"] = trace
             await write_frame(writer, request)
             reply = await read_frame(reader)
-        except OSError as exc:
+        except (OSError, WireError) as exc:
             raise PeerUnavailableError(peer_id) from exc
-        except WireError as exc:
-            raise PeerUnavailableError(peer_id) from exc
-        finally:
+        if reply is None or reply.get("id") != request["id"]:
+            raise PeerUnavailableError(peer_id)
+        reuse = pool is not None
+        return reply
+    finally:
+        if reuse:
+            pool.checkin(host, port, connection)
+        else:
             writer.close()
             try:
                 await writer.wait_closed()
             except OSError:  # pragma: no cover - teardown race
                 pass
-        if reply is None:
-            raise PeerUnavailableError(peer_id)
-        if reply.get("ok"):
-            return decode_value(reply.get("value"))
-        error_type = reply.get("error_type", "")
-        message = reply.get("error", "remote peer reported an error")
-        raise _ERROR_TYPES.get(error_type, RemoteError)(message)
-
-    if timeout_ms is None:
-        return await exchange()
-    try:
-        return await asyncio.wait_for(exchange(), timeout=timeout_ms / 1000.0)
-    except asyncio.TimeoutError as exc:
-        raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc

@@ -351,6 +351,19 @@ class TestTimeSeriesMetric:
         assert registry.timeseries("ts") is first
         with pytest.raises(ValueError):
             registry.counter("ts")
+        # A gauge is a Counter subclass; only the kind tells them apart.
+        counter = registry.counter("c")
+        assert registry.counter("c") is counter
+        with pytest.raises(ValueError, match="is a counter, not a gauge"):
+            registry.gauge("c")
+        gauge = registry.gauge("g")
+        with pytest.raises(ValueError, match="is a gauge, not a counter"):
+            registry.counter("g")
+        histogram = registry.histogram("h")
+        assert registry.histogram("h") is histogram
+        with pytest.raises(ValueError):
+            registry.gauge("h")
+        assert registry.gauge("g") is gauge
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()

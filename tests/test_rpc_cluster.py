@@ -326,10 +326,11 @@ def metric_points(snapshot: dict, name: str) -> list[dict]:
     return []
 
 
-def counter_total(cluster, name: str) -> float:
-    """Sum one counter across every live peer's metrics snapshot."""
+def counter_total(cluster, name: str, exclude: frozenset = frozenset()) -> float:
+    """Sum one counter across every live peer's metrics snapshot, leaving
+    out the peers in ``exclude``."""
     total = 0.0
-    for address in live_set(cluster):
+    for address in live_set(cluster) - exclude:
         snapshot = rpc(cluster, address, "metrics")
         for point in metric_points(snapshot, name):
             total += point.get("value", 0.0)
@@ -411,10 +412,17 @@ def healing():
             entries_before = sorted(
                 entry[0] for entry in rpc(cluster, target, "entries")
             )
-            suspected_before = counter_total(cluster, "swim.suspected")
+            # The paused peer drops out of the live set, so every total
+            # here leaves it out: its own earlier suspicions (from the
+            # kill wave) would otherwise vanish from the sum and cancel
+            # the new one.
+            paused = frozenset({target})
+            suspected_before = counter_total(
+                cluster, "swim.suspected", exclude=paused
+            )
             cluster.pause(target)
             wait_for(
-                lambda: counter_total(cluster, "swim.suspected")
+                lambda: counter_total(cluster, "swim.suspected", exclude=paused)
                 > suspected_before,
                 "some peer to suspect the paused peer",
             )
@@ -424,7 +432,8 @@ def healing():
                 "the resumed peer to refute and rejoin every member map",
             )
             observed["pause_suspected"] = (
-                counter_total(cluster, "swim.suspected") - suspected_before
+                counter_total(cluster, "swim.suspected", exclude=paused)
+                - suspected_before
             )
             entries_after = sorted(
                 entry[0] for entry in rpc(cluster, target, "entries")

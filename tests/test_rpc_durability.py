@@ -56,9 +56,9 @@ class TestServerRestartRecovery:
         data_dir = str(tmp_path / "peer-0")
         server = boot(loop, data_dir=data_dir)
         try:
-            client = ClusterClient((server.host, server.port), loop=loop)
-            for low in (100, 300, 500, 700):
-                client.query(IntRange(low, low + 50))
+            with ClusterClient((server.host, server.port), loop=loop) as client:
+                for low in (100, 300, 500, 700):
+                    client.query(IntRange(low, low + 50))
             stored = server.store.partition_count
             assert stored > 0
             before = sorted(
@@ -79,8 +79,8 @@ class TestServerRestartRecovery:
             assert counter_total(snapshot, "restore.entries") == stored
             assert counter_total(snapshot, "restore.torn_records") == 0
             # A re-queried range hits the recovered entry exactly.
-            client = ClusterClient((reborn.host, reborn.port), loop=loop)
-            assert client.query(IntRange(100, 150)).exact
+            with ClusterClient((reborn.host, reborn.port), loop=loop) as client:
+                assert client.query(IntRange(100, 150)).exact
         finally:
             loop.run_until_complete(reborn.close())
 
@@ -88,9 +88,9 @@ class TestServerRestartRecovery:
         data_dir = tmp_path / "peer-0"
         server = boot(loop, data_dir=str(data_dir))
         try:
-            client = ClusterClient((server.host, server.port), loop=loop)
-            for low in (100, 300, 500):
-                client.query(IntRange(low, low + 50))
+            with ClusterClient((server.host, server.port), loop=loop) as client:
+                for low in (100, 300, 500):
+                    client.query(IntRange(low, low + 50))
             stored = server.store.partition_count
         finally:
             loop.run_until_complete(server.close())
@@ -141,28 +141,27 @@ class TestEntriesPaging:
         try:
             for i in range(self.N_ENTRIES):
                 server.store.store(i, desc(i * 10, i * 10 + 9))
-            client = ClusterClient((server.host, server.port), loop=loop)
+            with ClusterClient((server.host, server.port), loop=loop) as client:
+                page = client.call("peer-0", "entries", {"offset": 10, "limit": 5})
+                assert page["total"] == self.N_ENTRIES
+                assert len(page["entries"]) == 5
 
-            page = client.call("peer-0", "entries", {"offset": 10, "limit": 5})
-            assert page["total"] == self.N_ENTRIES
-            assert len(page["entries"]) == 5
-
-            # With a frame cap smaller than the full entry list, the
-            # legacy single-frame reply dies on the wire...
-            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 8 * 1024)
-            full_reply = wire.encode_value([
-                (identifier, entry.descriptor, entry.partition, entry.primary)
-                for identifier, entry in server.store.entries()
-            ])
-            assert len(str(full_reply)) > wire.MAX_FRAME_BYTES
-            with pytest.raises(ReproError):
-                client.call("peer-0", "entries")
-            # ...while the paged iterator streams every record through.
-            records = client.entries_of("peer-0", page_size=32)
-            assert len(records) == self.N_ENTRIES
-            assert {record[0] for record in records} == set(
-                range(self.N_ENTRIES)
-            )
+                # With a frame cap smaller than the full entry list, the
+                # legacy single-frame reply dies on the wire...
+                monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 8 * 1024)
+                full_reply = wire.encode_value([
+                    (identifier, entry.descriptor, entry.partition, entry.primary)
+                    for identifier, entry in server.store.entries()
+                ])
+                assert len(str(full_reply)) > wire.MAX_FRAME_BYTES
+                with pytest.raises(ReproError):
+                    client.call("peer-0", "entries")
+                # ...while the paged iterator streams every record through.
+                records = client.entries_of("peer-0", page_size=32)
+                assert len(records) == self.N_ENTRIES
+                assert {record[0] for record in records} == set(
+                    range(self.N_ENTRIES)
+                )
         finally:
             loop.run_until_complete(server.close())
 
@@ -171,8 +170,8 @@ class TestEntriesPaging:
         try:
             for i in range(5):
                 server.store.store(i, desc(i * 10, i * 10 + 9))
-            client = ClusterClient((server.host, server.port), loop=loop)
-            records = client.call("peer-0", "entries")
+            with ClusterClient((server.host, server.port), loop=loop) as client:
+                records = client.call("peer-0", "entries")
             assert isinstance(records, list) and len(records) == 5
         finally:
             loop.run_until_complete(server.close())

@@ -23,6 +23,12 @@ from repro.rpc.client import ClusterClient
 from repro.rpc.server import PeerServer
 from repro.sim.query import AsyncQueryEngine
 
+# Teardown must close every pooled connection and serving task: anything
+# left for the garbage collector would surface as an unraisable warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 N_PEERS = 12
 SEED = 2003
 ADDRESSES = [f"peer-{i}" for i in range(N_PEERS)]
@@ -141,6 +147,7 @@ def run_socket():
 
     bootstrap = loop.run_until_complete(boot())
     rows, shapes = [], []
+    client = None
     try:
         client = ClusterClient(bootstrap, loop=loop)
         for query, origin in zip(QUERIES, origins()):
@@ -166,6 +173,8 @@ def run_socket():
             for server in servers:
                 await server.close()
 
+        if client is not None:
+            client.close()  # the loop is ours: this closes its connections
         loop.run_until_complete(teardown())
         loop.close()
     return rows, shapes, counters, system

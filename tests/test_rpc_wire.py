@@ -19,6 +19,12 @@ from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
 
+# Pooled connections must all be closed by their owners: a transport left
+# for the garbage collector would surface as an unraisable warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 def roundtrip(value):
     # Through real JSON, not just the codec functions, so nothing
@@ -464,5 +470,305 @@ def test_call_maps_remote_error_types():
         finally:
             server.close()
             await server.wait_closed()
+
+    run(scenario())
+
+
+# -- pooled connections ------------------------------------------------------
+#
+# With a ConnectionPool, calls reuse open connections.  A connection is
+# lent to one call at a time, goes back only after a whole reply carrying
+# the request's id, and is closed on any timeout, error or hang-up; a
+# request is never resent.
+
+
+class DialCounter:
+    """Counts dials by wrapping ``asyncio.open_connection``, as the live
+    benchmark's byte counter does."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.dials = 0
+        original = asyncio.open_connection
+
+        async def counting(*args, **kwargs):
+            self.dials += 1
+            return await original(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "open_connection", counting)
+
+
+def idle_connections(pool: wire.ConnectionPool, host: str, port: int) -> list:
+    return pool._idle.get((host, port), [])
+
+
+def test_sequential_pooled_calls_share_one_connection(monkeypatch):
+    counter = DialCounter(monkeypatch)
+
+    async def scenario(server):
+        pool = wire.ConnectionPool()
+        try:
+            for _ in range(20):
+                assert await wire.call(
+                    server.host, server.port, "ping",
+                    timeout_ms=2000.0, pool=pool,
+                ) is True
+        finally:
+            await pool.close()
+
+    with_live_server(scenario)
+    assert counter.dials == 1
+
+
+def test_concurrent_pooled_calls_get_their_own_connections(monkeypatch):
+    counter = DialCounter(monkeypatch)
+    k = 4
+
+    async def scenario(server):
+        # The delay keeps every call of a wave in flight together.
+        server.chaos_delay_ms = 50.0
+        pool = wire.ConnectionPool()
+
+        async def wave():
+            return await asyncio.gather(*(
+                wire.call(
+                    server.host, server.port, "ping",
+                    timeout_ms=2000.0, pool=pool,
+                )
+                for _ in range(k)
+            ))
+
+        try:
+            assert await wave() == [True] * k
+            first = counter.dials
+            assert await wave() == [True] * k
+            assert await wave() == [True] * k
+            return first
+        finally:
+            await pool.close()
+
+    first = with_live_server(scenario)
+    assert 1 <= first <= k
+    assert counter.dials == first  # later waves reused the open ones
+
+
+def test_timed_out_call_closes_its_connection(monkeypatch):
+    counter = DialCounter(monkeypatch)
+
+    async def scenario(server):
+        pool = wire.ConnectionPool()
+        try:
+            await wire.call(server.host, server.port, "ping", pool=pool)
+            (stale,) = idle_connections(pool, server.host, server.port)
+            server.chaos_delay_ms = 200.0  # silent for longer than the call waits
+            with pytest.raises(RequestTimeoutError):
+                await wire.call(
+                    server.host, server.port, "hello",
+                    timeout_ms=50.0, pool=pool,
+                )
+            assert stale[1].is_closing()
+            assert idle_connections(pool, server.host, server.port) == []
+            server.chaos_delay_ms = 0.0
+            # The next call must read its own reply, never the late hello.
+            assert await wire.call(
+                server.host, server.port, "ping",
+                timeout_ms=2000.0, pool=pool,
+            ) is True
+            await asyncio.sleep(0.3)  # the late hello has been answered
+            assert await wire.call(
+                server.host, server.port, "ping",
+                timeout_ms=2000.0, pool=pool,
+            ) is True
+        finally:
+            await pool.close()
+
+    with_live_server(scenario)
+    assert counter.dials == 2
+
+
+def test_hang_up_after_request_is_never_resent():
+    # Like the chaos drop: read the request, then hang up without a
+    # reply.  Each call must deliver its request exactly once.
+    async def scenario():
+        received = []
+
+        async def serve(reader, writer):
+            frame = await wire.read_frame(reader)
+            if frame is not None:
+                received.append(frame["id"])
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        pool = wire.ConnectionPool()
+        try:
+            for _ in range(3):
+                with pytest.raises(PeerUnavailableError):
+                    await wire.call(
+                        "127.0.0.1", port, "ping", peer_id=5,
+                        timeout_ms=2000.0, pool=pool,
+                    )
+            assert idle_connections(pool, "127.0.0.1", port) == []
+        finally:
+            await pool.close()
+            server.close()
+            await server.wait_closed()
+        return received
+
+    received = run(scenario())
+    assert len(received) == 3 and len(set(received)) == 3
+
+
+def test_reply_with_a_foreign_id_closes_the_connection():
+    # A reply that does not answer the request (a stray or doubled reply)
+    # must not be taken for the answer, nor leave the connection pooled.
+    async def scenario():
+        async def serve(reader, writer):
+            while (frame := await wire.read_frame(reader)) is not None:
+                await wire.write_frame(
+                    writer, {"id": frame["id"] + 1, "ok": True, "value": 1}
+                )
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        pool = wire.ConnectionPool()
+        try:
+            with pytest.raises(PeerUnavailableError):
+                await wire.call(
+                    "127.0.0.1", port, "ping", timeout_ms=2000.0, pool=pool
+                )
+            assert idle_connections(pool, "127.0.0.1", port) == []
+        finally:
+            await pool.close()
+            server.close()
+            await server.wait_closed()
+
+    run(scenario())
+
+
+def test_pooled_call_survives_a_restarted_peer(monkeypatch):
+    counter = DialCounter(monkeypatch)
+    from repro.rpc.server import PeerServer
+
+    async def scenario():
+        config = SystemConfig(n_peers=4, seed=7)
+        pool = wire.ConnectionPool()
+        first = PeerServer("peer-old", config)
+        await first.start()
+        host, port = first.host, first.port
+        second = None
+        try:
+            await wire.call(host, port, "ping", timeout_ms=2000.0, pool=pool)
+            await first.close()
+            second = PeerServer("peer-new", config, port=port)
+            await second.start()
+            reply = await wire.call(
+                host, port, "hello", timeout_ms=2000.0, pool=pool
+            )
+        finally:
+            await pool.close()
+            if second is not None:
+                await second.close()
+        return reply
+
+    assert run(scenario())["address"] == "peer-new"
+    assert counter.dials == 2  # the first connection, then one fresh dial
+
+
+def test_peer_restarted_while_the_loop_sat_idle_costs_no_failure():
+    # The client's loop is not running while the peer restarts (as with
+    # ClusterClient between calls), so the old connection's EOF is still
+    # queued when the next call checks a connection out.
+    import threading
+
+    from repro.rpc.server import PeerServer
+
+    config = SystemConfig(n_peers=4, seed=7)
+    server_loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=server_loop.run_forever, daemon=True)
+    thread.start()
+
+    def on_server(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, server_loop).result(10)
+
+    loop = asyncio.new_event_loop()
+    pool = wire.ConnectionPool()
+    servers = [PeerServer("peer-old", config)]
+    try:
+        on_server(servers[0].start())
+        host, port = servers[0].host, servers[0].port
+        loop.run_until_complete(
+            wire.call(host, port, "ping", timeout_ms=2000.0, pool=pool)
+        )
+        on_server(servers[0].close())
+        servers.append(PeerServer("peer-new", config, port=port))
+        on_server(servers[1].start())
+
+        async def hello():
+            # No timeout_ms: on Python < 3.12 wait_for would run the call
+            # in a task of its own, one loop turn later, hiding the race.
+            # A watchdog bounds the call instead.
+            watchdog = asyncio.get_running_loop().call_later(
+                5.0, asyncio.current_task().cancel
+            )
+            try:
+                return await wire.call(host, port, "hello", pool=pool)
+            finally:
+                watchdog.cancel()
+
+        assert loop.run_until_complete(hello())["address"] == "peer-new"
+    finally:
+        loop.run_until_complete(pool.close())
+        loop.close()
+        for server in servers:
+            on_server(server.close())
+        server_loop.call_soon_threadsafe(server_loop.stop)
+        thread.join(10)
+        server_loop.close()
+    assert not thread.is_alive()
+
+
+def test_closed_server_shuts_pooled_connections():
+    async def scenario(server):
+        pool = wire.ConnectionPool()
+        try:
+            await wire.call(server.host, server.port, "ping", pool=pool)
+            (connection,) = idle_connections(pool, server.host, server.port)
+            assert len(server._connections) == 1
+            await server.close()
+            # The pooled connection reads EOF: the server answers no more.
+            assert await asyncio.wait_for(connection[0].read(), 2.0) == b""
+            assert server._connections == {}
+        finally:
+            await pool.close()
+
+    with_live_server(scenario)
+
+
+def test_chaos_partition_refuses_a_pooled_call():
+    from repro.rpc.server import PeerServer
+
+    async def scenario():
+        config = SystemConfig(n_peers=4, seed=7)
+        b = PeerServer("peer-b", config)
+        await b.start()
+        a = PeerServer("peer-a", config, bootstrap=(b.host, b.port))
+        try:
+            await a.start()
+            assert await a._call_member("peer-b", "ping") is True
+            assert idle_connections(a._pool, b.host, b.port)
+            await wire.call(
+                b.host, b.port, "chaos-set", {"blocked": ["peer-a"]},
+                timeout_ms=2000.0,
+            )
+            with pytest.raises(PeerUnavailableError):
+                await a._call_member("peer-b", "ping", timeout_ms=2000.0)
+            # A client (no sender address) is never partitioned.
+            assert await wire.call(
+                b.host, b.port, "ping", timeout_ms=2000.0
+            ) is True
+        finally:
+            await a.close()
+            await b.close()
 
     run(scenario())
